@@ -67,7 +67,6 @@
 //	-no-hedge           disable straggler hedging
 //	-breaker-threshold  consecutive failures that open a resolver's breaker
 //	-breaker-cooldown   how long an open breaker rejects attempts
-//	-udp-workers        bounded UDP worker pool size (0 = from GOMAXPROCS)
 //	-udp-batch          UDP datagrams per syscall (recvmmsg/sendmmsg on
 //	                    Linux; 1 = portable one-per-syscall path)
 //	-udp-sockets        SO_REUSEPORT UDP sockets sharing the serving port

@@ -134,12 +134,9 @@ type ChaosConfig struct {
 }
 
 // ServeConfig groups the serving-plane knobs (the grouped spelling of
-// UDPWorkers, UDPBatch, MaxTCPConns, DoHAddr, DoTAddr, TLSCert, TLSKey,
+// UDPBatch, MaxTCPConns, DoHAddr, DoTAddr, TLSCert, TLSKey,
 // TLSSelfSigned and AdminAddr).
 type ServeConfig struct {
-	// UDPWorkers bounds the frontend's UDP worker pool (0 sizes from
-	// GOMAXPROCS).
-	UDPWorkers int
 	// UDPBatch is how many UDP datagrams move per syscall (0 = default
 	// of 16).
 	UDPBatch int
@@ -270,7 +267,6 @@ func (c Config) resolved() Config {
 	out.ChaosSeed = out.Chaos.Seed
 
 	// Serve. TLSSelfSigned is a bool: OR semantics.
-	out.Serve.UDPWorkers = pickInt(c.Serve.UDPWorkers, c.UDPWorkers)
 	out.Serve.UDPBatch = pickInt(c.Serve.UDPBatch, c.UDPBatch)
 	out.Serve.MaxTCPConns = pickInt(c.Serve.MaxTCPConns, c.MaxTCPConns)
 	out.Serve.DoHAddr = pickString(c.Serve.DoHAddr, c.DoHAddr)
@@ -279,7 +275,6 @@ func (c Config) resolved() Config {
 	out.Serve.TLSKey = pickString(c.Serve.TLSKey, c.TLSKey)
 	out.Serve.TLSSelfSigned = c.Serve.TLSSelfSigned || c.TLSSelfSigned
 	out.Serve.AdminAddr = pickString(c.Serve.AdminAddr, c.AdminAddr)
-	out.UDPWorkers = out.Serve.UDPWorkers
 	out.UDPBatch = out.Serve.UDPBatch
 	out.MaxTCPConns = out.Serve.MaxTCPConns
 	out.DoHAddr = out.Serve.DoHAddr

@@ -159,14 +159,6 @@ func TestAliasPrecedence(t *testing.T) {
 			wantGrouped: int64(11),
 		},
 		{
-			name:        "UDPWorkers",
-			flat:        func(c *Config) { c.UDPWorkers = 2 },
-			grouped:     func(c *Config) { c.Serve.UDPWorkers = 8 },
-			check:       func(c Config) any { return c.Serve.UDPWorkers },
-			wantFlat:    2,
-			wantGrouped: 8,
-		},
-		{
 			name:        "UDPBatch",
 			flat:        func(c *Config) { c.UDPBatch = 1 },
 			grouped:     func(c *Config) { c.Serve.UDPBatch = 32 },
@@ -289,12 +281,12 @@ func TestResolvedSyncsFlatAliases(t *testing.T) {
 		Refresh: RefreshConfig{Ahead: 0.8, MinHits: 3},
 		Health:  HealthConfig{HedgeDelay: time.Second, BreakerThreshold: 4, BreakerCooldown: time.Minute},
 		Trust:   TrustConfig{Window: 9, MinScore: 0.5},
-		Serve:   ServeConfig{UDPWorkers: 3, DoHAddr: "x", AdminAddr: "y"},
+		Serve:   ServeConfig{UDPBatch: 3, DoHAddr: "x", AdminAddr: "y"},
 	}.resolved()
 	if r.CacheSize != 7 || r.CacheShards != 2 || r.RefreshAhead != 0.8 || r.RefreshMinHits != 3 ||
 		r.HedgeDelay != time.Second || r.BreakerThreshold != 4 || r.BreakerCooldown != time.Minute ||
 		r.TrustWindow != 9 || r.TrustMinScore != 0.5 ||
-		r.UDPWorkers != 3 || r.DoHAddr != "x" || r.AdminAddr != "y" {
+		r.UDPBatch != 3 || r.DoHAddr != "x" || r.AdminAddr != "y" {
 		t.Errorf("flat aliases not synced from grouped: %+v", r)
 	}
 }
@@ -334,7 +326,7 @@ var configSurface = map[string][]string{
 		"RefreshAhead", "RefreshMinHits", "HedgeDelay", "DisableHedging",
 		"BreakerThreshold", "BreakerCooldown", "TrustWindow", "TrustMinScore",
 		"ChaosPayload", "ChaosResolvers", "ChaosProb", "ChaosSeed",
-		"UDPWorkers", "UDPBatch", "MaxTCPConns", "DoHAddr", "DoTAddr",
+		"UDPBatch", "MaxTCPConns", "DoHAddr", "DoTAddr",
 		"TLSCert", "TLSKey", "TLSSelfSigned", "AdminAddr",
 	},
 	"CacheConfig":   {"Size", "Shards", "StaleWhileRevalidate"},
@@ -347,7 +339,7 @@ var configSurface = map[string][]string{
 		"ChurnEvery", "ChurnDowntime", "Resolvers",
 	},
 	"ServeConfig": {
-		"UDPWorkers", "UDPBatch", "UDPSockets", "MaxTCPConns", "DoHAddr", "DoTAddr",
+		"UDPBatch", "UDPSockets", "MaxTCPConns", "DoHAddr", "DoTAddr",
 		"TLSCert", "TLSKey", "TLSSelfSigned", "AdminAddr",
 	},
 }

@@ -266,13 +266,6 @@ type Config struct {
 	//
 	// Deprecated: use Chaos.Seed.
 	ChaosSeed int64
-	// UDPWorkers bounds the frontend's UDP worker pool (Serve only;
-	// 0 sizes from GOMAXPROCS). Workers only serve the slow path —
-	// queries the wire-format answer cache cannot satisfy; cached hits
-	// are answered inline by the reader loop.
-	//
-	// Deprecated: use Serve.UDPWorkers.
-	UDPWorkers int
 	// UDPBatch is how many UDP datagrams the frontend moves per syscall
 	// (Serve only; 0 uses the default of 16). On Linux this drives
 	// recvmmsg/sendmmsg batching; 1 — or any other platform — selects
@@ -795,7 +788,6 @@ func (c *Client) LookupPoolDualStack(ctx context.Context, domain string) (*Pool,
 // it with its Close method.
 func (c *Client) Serve(addr string) (*Frontend, error) {
 	f, err := core.NewFrontendWithConfig(addr, c.eng, core.FrontendConfig{
-		UDPWorkers:  c.cfg.Serve.UDPWorkers,
 		UDPBatch:    c.cfg.Serve.UDPBatch,
 		UDPSockets:  c.cfg.Serve.UDPSockets,
 		MaxTCPConns: c.cfg.Serve.MaxTCPConns,

@@ -238,7 +238,6 @@ type ServeOptions struct {
 
 // Serve holds the dohpool.ServeConfig flags.
 type Serve struct {
-	UDPWorkers    *int
 	UDPBatch      *int
 	UDPSockets    *int
 	MaxTCPConns   *int
@@ -250,12 +249,11 @@ type Serve struct {
 	AdminAddr     *string
 }
 
-// RegisterServe declares the serving-plane flags: -udp-workers,
-// -udp-batch, -udp-sockets, -max-tcp-conns, -doh-addr, -dot-addr,
-// -tls-cert, -tls-key, -tls-self-signed and -admin.
+// RegisterServe declares the serving-plane flags: -udp-batch,
+// -udp-sockets, -max-tcp-conns, -doh-addr, -dot-addr, -tls-cert,
+// -tls-key, -tls-self-signed and -admin.
 func RegisterServe(fs *flag.FlagSet, opts ServeOptions) *Serve {
 	return &Serve{
-		UDPWorkers:    fs.Int("udp-workers", 0, "UDP worker pool size (0 = sized from GOMAXPROCS)"),
 		UDPBatch:      fs.Int("udp-batch", 0, "UDP datagrams moved per syscall via recvmmsg/sendmmsg on Linux (0 = default 16, 1 = portable path)"),
 		UDPSockets:    fs.Int("udp-sockets", 0, "SO_REUSEPORT UDP sockets sharing the serving port on Linux (0 = sized from NumCPU, 1 = single socket)"),
 		MaxTCPConns:   fs.Int("max-tcp-conns", 0, "max concurrently served TCP connections (0 = default)"),
@@ -270,7 +268,6 @@ func RegisterServe(fs *flag.FlagSet, opts ServeOptions) *Serve {
 
 // Apply writes the parsed values into cfg.Serve.
 func (s *Serve) Apply(cfg *dohpool.Config) {
-	cfg.Serve.UDPWorkers = *s.UDPWorkers
 	cfg.Serve.UDPBatch = *s.UDPBatch
 	cfg.Serve.UDPSockets = *s.UDPSockets
 	cfg.Serve.MaxTCPConns = *s.MaxTCPConns

@@ -56,7 +56,6 @@ var flagFor = map[string]string{
 	"NetChaosConfig.ChurnDowntime":  "net-chaos-churn-downtime",
 	"NetChaosConfig.Resolvers":      "net-chaos-resolvers",
 
-	"ServeConfig.UDPWorkers":    "udp-workers",
 	"ServeConfig.UDPBatch":      "udp-batch",
 	"ServeConfig.UDPSockets":    "udp-sockets",
 	"ServeConfig.MaxTCPConns":   "max-tcp-conns",
@@ -132,7 +131,7 @@ func TestApplyWritesGroupedFields(t *testing.T) {
 		"-net-chaos-partition-every=10s", "-net-chaos-partition-for=1s",
 		"-net-chaos-churn-every=30s", "-net-chaos-churn-downtime=3s",
 		"-net-chaos-resolvers=1",
-		"-udp-workers=4", "-udp-batch=32", "-udp-sockets=3", "-max-tcp-conns=64",
+		"-udp-batch=32", "-udp-sockets=3", "-max-tcp-conns=64",
 		"-doh-addr=127.0.0.1:8443", "-dot-addr=127.0.0.1:8853",
 		"-tls-cert=c.pem", "-tls-key=k.pem", "-tls-self-signed",
 		"-admin=127.0.0.1:9090",
@@ -179,7 +178,7 @@ func TestApplyWritesGroupedFields(t *testing.T) {
 		t.Errorf("Chaos.Net = %+v, want %+v", cfg.Chaos.Net, wantNet)
 	}
 	wantServe := dohpool.ServeConfig{
-		UDPWorkers: 4, UDPBatch: 32, UDPSockets: 3, MaxTCPConns: 64,
+		UDPBatch: 32, UDPSockets: 3, MaxTCPConns: 64,
 		DoHAddr: "127.0.0.1:8443", DoTAddr: "127.0.0.1:8853",
 		TLSCert: "c.pem", TLSKey: "k.pem", TLSSelfSigned: true,
 		AdminAddr: "127.0.0.1:9090",

@@ -19,6 +19,18 @@ import (
 const (
 	// DefaultLookupTimeout bounds one coalesced Algorithm 1 run.
 	DefaultLookupTimeout = 5 * time.Second
+	// maxInlineGenerations caps the Algorithm 1 runs that callers are
+	// waiting on at any one time; the leader of a miss beyond it waits
+	// for a slot inside its run's LookupTimeout. The frontend admits up to
+	// UDPQueue (1024) slow-path datagrams, and a random-subdomain flood
+	// makes each one a generation of its own. A generation holds one
+	// HTTP/2 stream per resolver, two while a hedge is out; resolvers
+	// commonly allow 100 streams per connection (the floor RFC 9113
+	// §6.5.2 recommends) and the DoH client opens at most 4 connections
+	// to each. 64 inline runs plus DefaultRefreshConcurrency (8)
+	// background ones put at most 144 streams on a resolver: every
+	// primary exchange fits on one connection, hedges on a second.
+	maxInlineGenerations = 64
 )
 
 // EngineConfig tunes the long-lived layers around Algorithm 1. The zero
@@ -122,6 +134,12 @@ type Engine struct {
 	inst      engineInstruments
 
 	flight flightGroup
+	// inlineSlots is the maxInlineGenerations semaphore.
+	inlineSlots chan struct{}
+	// publishMu makes a generation's invalidate-and-publish of both caches
+	// and restoreWire's read-pool-publish-wire exclusive, so the wire
+	// cache never holds an entry built from a superseded pool.
+	publishMu sync.Mutex
 
 	networkRuns    atomic.Uint64 // actual Algorithm 1 executions
 	inlineGens     atomic.Uint64 // executions led by a waiting caller
@@ -207,7 +225,10 @@ func NewEngine(gcfg Config, ecfg EngineConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{gen: gen, health: health, trust: trust, cfg: ecfg, inst: newEngineInstruments(ecfg.Metrics)}
+	e := &Engine{
+		gen: gen, health: health, trust: trust, cfg: ecfg, inst: newEngineInstruments(ecfg.Metrics),
+		inlineSlots: make(chan struct{}, maxInlineGenerations),
+	}
 	if ecfg.CacheSize >= 0 {
 		e.cache = dnscache.NewShardedStore[*poolEntry](ecfg.CacheSize, ecfg.CacheShards, ecfg.Clock)
 		registerCacheMetrics(ecfg.Metrics, e.cache)
@@ -468,6 +489,15 @@ func (e *Engine) fetch(ctx context.Context, key string, spec wireSpec, run func(
 			e.inlineGens.Add(1)
 			e.inst.inlineGen.Inc()
 		}
+		if !background {
+			select {
+			case e.inlineSlots <- struct{}{}:
+				defer func() { <-e.inlineSlots }()
+			case <-runCtx.Done():
+				e.inst.errors.Inc()
+				return nil, runCtx.Err()
+			}
+		}
 		start := time.Now()
 		p, err := run(runCtx)
 		e.inst.genLatency.Observe(time.Since(start).Seconds())
@@ -485,6 +515,7 @@ func (e *Engine) fetch(ctx context.Context, key string, spec wireSpec, run func(
 			// the window between the first two steps falls through to the
 			// slow path, which already sees the new pool. Old wire bytes
 			// are unreachable the moment the new pool is published.
+			e.publishMu.Lock()
 			e.wire.Invalidate(key)
 			e.cache.Put(key, &poolEntry{pool: p, regen: run, spec: spec}, p.ttlDuration())
 			if spec != (wireSpec{}) {
@@ -492,6 +523,7 @@ func (e *Engine) fetch(ctx context.Context, key string, spec wireSpec, run func(
 					e.wire.Put(key, we)
 				}
 			}
+			e.publishMu.Unlock()
 		}
 		return p, nil
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -403,5 +404,36 @@ func TestEngineSnapshotIsolation(t *testing.T) {
 		if a == netip.MustParseAddr("198.18.0.66") {
 			t.Fatal("cached pool shares storage with caller")
 		}
+	}
+}
+
+// TestEngineCapsInlineGenerations starts more distinct misses than
+// maxInlineGenerations: exactly that many generations may reach the
+// resolvers at once, the rest wait for a slot and complete once slots
+// free up.
+func TestEngineCapsInlineGenerations(t *testing.T) {
+	const over = 5
+	q := newBlockingQuerier(&staticQuerier{lists: threeResolverLists()})
+	eng := engineUnderTest(t, q, EngineConfig{DisableHedging: true})
+	errs := make(chan error, maxInlineGenerations+over)
+	for i := 0; i < maxInlineGenerations+over; i++ {
+		go func(i int) {
+			_, err := eng.Lookup(context.Background(), fmt.Sprintf("blocked-%d.test.", i), dnswire.TypeA)
+			errs <- err
+		}(i)
+	}
+	waitFor(t, "the admitted generations to start", func() bool { return q.blockedNames() == maxInlineGenerations })
+	waitFor(t, "every miss to lead a run", func() bool { return eng.NetworkRuns() == maxInlineGenerations+over })
+	if got := q.blockedNames(); got != maxInlineGenerations {
+		t.Fatalf("%d generations reached the resolvers at once, cap is %d", got, maxInlineGenerations)
+	}
+	close(q.release)
+	for i := 0; i < maxInlineGenerations+over; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("lookup failed: %v", err)
+		}
+	}
+	if got := q.blockedNames(); got != maxInlineGenerations+over {
+		t.Errorf("%d names generated, want %d", got, maxInlineGenerations+over)
 	}
 }

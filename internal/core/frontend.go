@@ -26,8 +26,9 @@ var ErrFrontendClosed = errors.New("dns frontend closed")
 
 // Frontend defaults.
 const (
-	// DefaultUDPQueue bounds datagrams waiting for a worker; beyond it the
-	// frontend sheds load by dropping (the stub retries).
+	// DefaultUDPQueue bounds slow-path datagrams in flight (each waiting
+	// on a generation in a goroutine of its own); beyond it the frontend
+	// sheds load by dropping (the stub retries).
 	DefaultUDPQueue = 1024
 	// DefaultMaxTCPConns bounds concurrently served TCP connections
 	// (RFC 7766 §6.2.2 advises limiting per-server connection load).
@@ -50,11 +51,8 @@ type Backend interface {
 type FrontendConfig struct {
 	// Timeout bounds one pool generation (default 5s).
 	Timeout time.Duration
-	// UDPWorkers is the size of the bounded UDP worker pool.
-	// 0 uses 2×GOMAXPROCS (minimum 4).
-	UDPWorkers int
-	// UDPQueue bounds datagrams queued for workers (default
-	// DefaultUDPQueue); the frontend drops excess instead of buffering
+	// UDPQueue bounds slow-path datagrams in flight (default
+	// DefaultUDPQueue); the frontend drops excess instead of spawning
 	// without bound.
 	UDPQueue int
 	// UDPBatch is how many datagrams one reader syscall may move via
@@ -70,7 +68,7 @@ type FrontendConfig struct {
 	// 1 is classic single-socket serving. On platforms without
 	// SO_REUSEPORT (anything but Linux) the value is clamped to 1.
 	// Per-query semantics never change: every socket serves the same
-	// wire cache and feeds the same worker pool.
+	// wire cache and shares the same UDPQueue budget.
 	UDPSockets int
 	// MaxTCPConns bounds concurrently served TCP connections (default
 	// DefaultMaxTCPConns).
@@ -101,12 +99,6 @@ func (c *FrontendConfig) setDefaults() {
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
 	}
-	if c.UDPWorkers <= 0 {
-		c.UDPWorkers = 2 * runtime.GOMAXPROCS(0)
-		if c.UDPWorkers < 4 {
-			c.UDPWorkers = 4
-		}
-	}
 	if c.UDPQueue <= 0 {
 		c.UDPQueue = DefaultUDPQueue
 	}
@@ -128,10 +120,11 @@ func (c *FrontendConfig) setDefaults() {
 // plain-DNS server (UDP with EDNS-aware truncation, plus persistent-
 // connection TCP per RFC 7766) whose answers come from the consensus
 // backend. Legacy applications point their stub resolver at it and
-// transparently receive consensus-backed pools. UDP datagrams are served
-// by a bounded worker pool and TCP by a bounded connection pool, so a
-// query flood degrades by shedding load instead of by unbounded goroutine
-// growth.
+// transparently receive consensus-backed pools. UDP datagrams that miss
+// the wire cache each wait on their generation in a goroutine of their
+// own, at most UDPQueue at a time, and TCP is served by a bounded
+// connection pool, so a query flood degrades by shedding load instead of
+// by unbounded goroutine growth.
 //
 // With FrontendConfig.DoTAddr / DoHAddr set, the same backend
 // additionally serves DNS over TLS (RFC 7858) and DNS over HTTPS
@@ -150,7 +143,6 @@ type Frontend struct {
 	dohLn   net.Listener // nil unless DoHAddr was set
 	dohSrv  *http.Server // nil unless DoHAddr was set
 
-	packets chan *udpPacket
 	pktPool sync.Pool
 	// streamPool recycles the per-connection scratch (read buffer, key
 	// scratch, response copy target) the stream fast path serves from.
@@ -158,9 +150,8 @@ type Frontend struct {
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
-	// readerWG tracks the per-socket UDP reader loops; the last one out
-	// closes the worker queue.
-	readerWG sync.WaitGroup
+	// parked counts slow-path datagrams in flight, capped at UDPQueue.
+	parked atomic.Int64
 
 	// Per-connection stream tracking, taken on every accept and close.
 	//dohlint:hotlock
@@ -177,7 +168,7 @@ type Frontend struct {
 // Each socket is owned by exactly one reader goroutine, so the batch
 // state needs no locking; the kernel steers every client flow to a
 // consistent socket, so slow-path replies also leave through the socket
-// that read the query (the worker writes via pkt.sock).
+// that read the query (the slow path writes via pkt.sock).
 type udpSocket struct {
 	conn  *net.UDPConn
 	uconn *udpbatch.Conn
@@ -217,7 +208,7 @@ func (f *Frontend) getPacket() *udpPacket  { return f.pktPool.Get().(*udpPacket)
 func (f *Frontend) putPacket(p *udpPacket) { f.pktPool.Put(p) }
 
 // NewFrontend starts the frontend on addr ("127.0.0.1:0" for ephemeral)
-// with default worker-pool sizing; the same port serves UDP and TCP.
+// with default sizing; the same port serves UDP and TCP.
 // timeout bounds each pool generation (default 5 s).
 func NewFrontend(addr string, backend Backend, timeout time.Duration) (*Frontend, error) {
 	return NewFrontendWithConfig(addr, backend, FrontendConfig{Timeout: timeout})
@@ -243,7 +234,6 @@ func NewFrontendWithConfig(addr string, backend Backend, cfg FrontendConfig) (*F
 		inst:     newFrontendInstruments(cfg.Metrics, cfg.DoTAddr != "", cfg.DoHAddr != "", len(conns)),
 		socks:    make([]*udpSocket, len(conns)),
 		tcpLn:    tcpLn,
-		packets:  make(chan *udpPacket, cfg.UDPQueue),
 		tcpConns: make(map[net.Conn]struct{}),
 	}
 	for i, conn := range conns {
@@ -314,20 +304,9 @@ func NewFrontendWithConfig(addr string, backend Backend, cfg FrontendConfig) (*F
 			},
 		}
 	}
-	f.wg.Add(2 + len(f.socks) + cfg.UDPWorkers)
-	f.readerWG.Add(len(f.socks))
+	f.wg.Add(1 + len(f.socks))
 	for _, s := range f.socks {
 		go f.readUDP(s)
-	}
-	go func() {
-		// The worker queue has many producers now; it closes when the
-		// last reader exits, not when any one of them does.
-		defer f.wg.Done()
-		f.readerWG.Wait()
-		close(f.packets)
-	}()
-	for i := 0; i < cfg.UDPWorkers; i++ {
-		go f.udpWorker()
 	}
 	go f.serveStream(f.tcpLn, &f.inst.tcp)
 	if f.dotLn != nil {
@@ -526,11 +505,22 @@ func (f *Frontend) Served() uint64 { return f.served.Load() }
 // Failures returns the number of queries that ended in an error RCode.
 func (f *Frontend) Failures() uint64 { return f.failures.Load() }
 
-// Dropped returns the number of UDP datagrams shed because the worker
-// queue was full.
+// Dropped returns the number of UDP datagrams shed: received while
+// UDPQueue slow-path datagrams were already in flight, or still waiting
+// on a generation when Close took their socket away.
 func (f *Frontend) Dropped() uint64 { return f.dropped.Load() }
 
-// Close stops the frontend and waits for in-flight handlers.
+// shed counts one datagram received on s and dropped unanswered.
+func (f *Frontend) shed(s *udpSocket) {
+	f.dropped.Add(1)
+	f.inst.dropped.Inc()
+	s.inst.drops.Inc()
+}
+
+// Close stops the frontend and waits for in-flight handlers. Slow-path
+// datagrams run out their generations side by side, each inside its own
+// Timeout, and are counted as dropped when the answer finds the socket
+// closed.
 func (f *Frontend) Close() error {
 	if f.closed.Swap(true) {
 		return ErrFrontendClosed
@@ -570,16 +560,15 @@ func (f *Frontend) Close() error {
 // answer is built in the packet's own buffer, so a cached hit is a
 // memcpy plus an ID/flags/TTL patch with zero allocations and no
 // goroutine handoff), flushes all inline answers in one sendmmsg, and
-// hands everything else to the bounded worker pool shared by all
-// sockets. On platforms without the batch syscalls — or with UDPBatch
-// 1 — the same loop runs with a batch of one datagram per portable
-// syscall. Packets served inline never leave their batch slots, so the
-// steady-state hot path recycles the same buffers forever; only
-// slow-path packets cycle through the pool (fixing the old reader's
-// per-datagram buffer + address allocation pair).
+// hands each other datagram to a goroutine of its own (serveParked), so
+// no miss waits behind another one's generation. On platforms without
+// the batch syscalls — or with UDPBatch 1 — the same loop runs with a
+// batch of one datagram per portable syscall. Packets served inline
+// never leave their batch slots, so the steady-state hot path recycles
+// the same buffers forever; only slow-path packets cycle through the
+// pool.
 func (f *Frontend) readUDP(s *udpSocket) {
 	defer f.wg.Done()
-	defer f.readerWG.Done()
 	batch := s.uconn.BatchSize()
 	pkts := make([]*udpPacket, batch)
 	dgs := make([]*udpbatch.Datagram, batch)
@@ -605,23 +594,36 @@ func (f *Frontend) readUDP(s *udpSocket) {
 				out = append(out, &pkt.dg)
 				continue
 			}
-			select {
-			case f.packets <- pkt:
-				// The worker owns pkt now; restock the batch slot.
-				np := f.getPacket()
-				np.sock = s
-				pkts[i] = np
-				dgs[i] = &np.dg
-			default:
-				// Queue full: shed load. The stub resolver retries, and
-				// by then the answer is usually a wire-cache hit.
-				f.dropped.Add(1)
-				f.inst.dropped.Inc()
-				s.inst.drops.Inc()
+			if f.parked.Add(1) > int64(f.cfg.UDPQueue) {
+				// UDPQueue datagrams already wait on generations: shed
+				// load. The stub resolver retries, and by then the answer
+				// is usually a wire-cache hit.
+				f.parked.Add(-1)
+				f.shed(s)
+				continue
 			}
+			// This reader still holds its own count on wg, so Close's
+			// Wait cannot have returned before this Add.
+			f.wg.Add(1)
+			go f.serveParked(pkt)
+			// The new goroutine owns pkt now; restock the batch slot.
+			np := f.getPacket()
+			np.sock = s
+			pkts[i] = np
+			dgs[i] = &np.dg
 		}
 		f.writeUDPBatch(s, out)
 	}
+}
+
+// serveParked answers one slow-path datagram and gives its packet and
+// its UDPQueue slot back. It holds nothing but the packet while the
+// backend generates.
+func (f *Frontend) serveParked(pkt *udpPacket) {
+	defer f.wg.Done()
+	f.handleUDP(pkt)
+	f.putPacket(pkt)
+	f.parked.Add(-1)
 }
 
 // writeUDPBatch flushes a reader's inline answers through its own
@@ -640,14 +642,6 @@ func (f *Frontend) writeUDPBatch(s *udpSocket, out []*udpbatch.Datagram) {
 			f.inst.udp.writeErrs.Inc()
 			off++
 		}
-	}
-}
-
-func (f *Frontend) udpWorker() {
-	defer f.wg.Done()
-	for pkt := range f.packets {
-		f.handleUDP(pkt)
-		f.putPacket(pkt)
 	}
 }
 
@@ -743,10 +737,10 @@ func (f *Frontend) respondStream(conn net.Conn, query *dnswire.Message, inst *pr
 	return true
 }
 
-// handleUDP is the slow path for one queued datagram: full decode,
-// backend lookup, encode, truncation. The reply leaves through the
-// socket whose reader pulled the query (pkt.sock), preserving the
-// kernel's flow→socket affinity for the peer.
+// handleUDP is the slow path for one datagram: full decode, backend
+// lookup, encode, truncation. The reply leaves through the socket whose
+// reader pulled the query (pkt.sock), preserving the kernel's
+// flow→socket affinity for the peer.
 func (f *Frontend) handleUDP(pkt *udpPacket) {
 	wire, client := pkt.dg.Buf[:pkt.dg.N], &pkt.addr
 	query, err := dnswire.Decode(wire)
@@ -775,8 +769,13 @@ func (f *Frontend) handleUDP(pkt *udpPacket) {
 			return
 		}
 	}
-	if _, err := pkt.sock.conn.WriteToUDP(respWire, client); err != nil && !f.closed.Load() {
-		f.inst.udp.writeErrs.Inc()
+	if _, err := pkt.sock.conn.WriteToUDP(respWire, client); err != nil {
+		if f.closed.Load() {
+			// Close took the socket away while the generation ran.
+			f.shed(pkt.sock)
+		} else {
+			f.inst.udp.writeErrs.Inc()
+		}
 	}
 }
 

@@ -272,10 +272,7 @@ func TestFrontendOnEngineCachesAcrossQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = eng.Close() })
-	fe, err := NewFrontendWithConfig("127.0.0.1:0", eng, FrontendConfig{
-		Timeout:    time.Second,
-		UDPWorkers: 2,
-	})
+	fe, err := NewFrontend("127.0.0.1:0", eng, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 // transaction ID, RD/CD echo, aged TTLs — never touching the decoder,
 // the message builder or the encoder. Everything the fast path cannot
 // prove about a query (unusual flags, compression pointers, non-address
-// types, absent or expired wire entries) falls through to the worker
-// slow path, which behaves exactly as it always has; the fast path is
-// therefore free to be strict.
+// types, absent or expired wire entries) falls through to the slow path,
+// which behaves exactly as it always has; the fast path is therefore
+// free to be strict.
 
 // wireBackend is the optional backend extension the fast path needs:
 // the engine implements it, the one-shot generator (and test stubs) do

@@ -460,3 +460,188 @@ func TestWireFastPathTTLAging(t *testing.T) {
 		t.Fatalf("aged TTL = %d, want 35", got)
 	}
 }
+
+// TestParkedAnswerDifferential extends the byte-equality table to the
+// miss path: a query that arrives before its pool exists waits on the
+// generation in a goroutine of its own, and what it finally receives
+// must be the bytes handleUDP has always produced for that query and
+// pool — slowServeWire is that reference — for every EDNS bucket and
+// RD/CD combination, including the TC rule for a pool that outgrows 512
+// and 1232 octets.
+func TestParkedAnswerDifferential(t *testing.T) {
+	q := newBlockingQuerier(&swapQuerier{lists: map[string][]netip.Addr{
+		"u0": manyAddrs(0, 40),
+		"u1": manyAddrs(1000, 40),
+		"u2": manyAddrs(2000, 40),
+	}})
+	clk := newTestClock()
+	eng, fe := wireEngineUnderTest(t, q, clk, EngineConfig{})
+	oracle, err := NewFrontendWithConfig("127.0.0.1:0", slowOnlyBackend{eng}, FrontendConfig{Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+
+	cases := []struct {
+		name    string
+		edns    int
+		rd, cd  bool
+		wantTC  bool
+		wantAns int
+	}{
+		{"no-edns", 0, true, false, true, 0},
+		{"no-edns-cd", 0, false, true, true, 0},
+		{"edns-512", 512, true, true, true, 0},
+		{"edns-1232", 1232, false, false, true, 0},
+		{"edns-4096", 4096, true, false, false, 120},
+		{"edns-4096-cd", 4096, true, true, false, 120},
+	}
+	conn, err := net.Dial("udp", fe.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	queries := make(map[uint16][]byte)
+	for i, tc := range cases {
+		id := uint16(0x3000 + i)
+		// A name of its own per case, so that every case is a miss.
+		queries[id] = rawQueryBytes(t, id, fmt.Sprintf("blocked-%d.test.", i), dnswire.TypeA, tc.edns, tc.rd, tc.cd)
+		if _, err := conn.Write(queries[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every case to wait on its generation", func() bool { return q.blockedNames() == len(cases) })
+	close(q.release)
+
+	buf := make([]byte, dnswire.MaxMessageSize)
+	_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	answers := make(map[uint16][]byte)
+	for range cases {
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[uint16(buf[0])<<8|uint16(buf[1])] = append([]byte(nil), buf[:n]...)
+	}
+	for i, tc := range cases {
+		id := uint16(0x3000 + i)
+		got, ok := answers[id]
+		if !ok {
+			t.Errorf("%s: no answer carries the query's ID", tc.name)
+			continue
+		}
+		want, ok := slowServeWire(oracle, queries[id])
+		if !ok {
+			t.Fatalf("%s: reference path produced no answer", tc.name)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: parked answer differs from handleUDP's:\ngot  %x\nwant %x", tc.name, got, want)
+		}
+		if gotTC := got[2]&0x02 != 0; gotTC != tc.wantTC {
+			t.Errorf("%s: TC = %v, want %v", tc.name, gotTC, tc.wantTC)
+		}
+		if gotAns := int(got[6])<<8 | int(got[7]); gotAns != tc.wantAns {
+			t.Errorf("%s: ancount = %d, want %d", tc.name, gotAns, tc.wantAns)
+		}
+	}
+}
+
+// TestParkedWaitersCoalesce parks N datagrams for one name: they must
+// cause exactly one generation and receive N answers, each under its
+// own ID.
+func TestParkedWaitersCoalesce(t *testing.T) {
+	const waiters = 6
+	q := newCountingQuerier(60, threeResolverLists())
+	q.gate = make(chan struct{})
+	clk := newTestClock()
+	eng, fe := wireEngineUnderTest(t, q, clk, EngineConfig{})
+	c := dialUDPClient(t, fe.Addr())
+	for i := 0; i < waiters; i++ {
+		c.send(uint16(0x4000+i), "pool.test.")
+	}
+	waitFor(t, "every waiter to be parked", func() bool { return fe.parked.Load() == waiters })
+	close(q.gate)
+
+	count, rcode := c.collect(waiters, 3*time.Second)
+	for i := 0; i < waiters; i++ {
+		id := uint16(0x4000 + i)
+		if count[id] != 1 || rcode[id] != int(dnswire.RCodeSuccess) {
+			t.Errorf("ID %#x: %d answers (rcode %d), want exactly 1 NOERROR", id, count[id], rcode[id])
+		}
+	}
+	if got := eng.NetworkRuns(); got != 1 {
+		t.Errorf("%d waiters caused %d generations, want 1", waiters, got)
+	}
+	if got := q.total.Load(); got != 3 {
+		t.Errorf("%d waiters caused %d upstream exchanges, want 3", waiters, got)
+	}
+}
+
+// TestWireEntryRestoredAfterEviction is the regression test for the
+// wire cache's eviction: it drops an arbitrary entry from a full shard
+// while the pool cache keeps strict LRU order, so a hot name that is
+// read between cold inserts keeps its pool and sooner or later loses
+// its wire entry. The fast path must then rebuild the entry from the
+// pool and serve the name again, with the bytes the slow path produces
+// and a TTL that went on ageing from the original generation.
+func TestWireEntryRestoredAfterEviction(t *testing.T) {
+	const capacity = 4
+	q := &swapQuerier{lists: map[string][]netip.Addr{
+		"u0": manyAddrs(0, 2), "u1": manyAddrs(100, 2), "u2": manyAddrs(200, 2),
+	}}
+	clk := newTestClock()
+	eng, fe := wireEngineUnderTest(t, q, clk, EngineConfig{CacheSize: capacity, CacheShards: 1})
+	oracle, err := NewFrontendWithConfig("127.0.0.1:0", slowOnlyBackend{eng}, FrontendConfig{Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	answerTTL := func(resp []byte) uint32 {
+		m, err := dnswire.Decode(resp)
+		if err != nil || len(m.Answers) == 0 {
+			t.Fatalf("undecodable or empty answer %x: %v", resp, err)
+		}
+		return m.Answers[0].TTL
+	}
+
+	hot := rawQueryBytes(t, 7, "hot.test.", dnswire.TypeA, 0, true, false)
+	rawUDPExchange(t, fe.Addr(), hot)
+	clk.advance(7 * time.Second)
+	ttlBefore := answerTTL(rawUDPExchange(t, fe.Addr(), hot))
+
+	// 60 inserts into a shard of 4: the hot entry survives them all with
+	// probability (3/4)^57, about 1e-7.
+	restored := 0
+	for i := 0; i < 60; i++ {
+		rawUDPExchange(t, fe.Addr(), rawQueryBytes(t, 8, fmt.Sprintf("cold-%d.test.", i), dnswire.TypeA, 0, true, false))
+		hits := eng.wire.Stats().Hits
+		first := rawUDPExchange(t, fe.Addr(), hot)
+		if eng.wire.Stats().Hits == hits {
+			restored++
+			if got := answerTTL(first); got > ttlBefore {
+				t.Fatalf("restored entry serves TTL %d, above the %d served before the eviction", got, ttlBefore)
+			}
+		}
+		hits = eng.wire.Stats().Hits
+		rawUDPExchange(t, fe.Addr(), hot)
+		if got := eng.wire.Stats().Hits - hits; got != 1 {
+			t.Fatalf("after cold insert %d the hot name is off the fast path: wire hits moved by %d, want 1", i, got)
+		}
+	}
+	if restored == 0 {
+		t.Fatal("the hot name's wire entry was never evicted; the test did not reach the restore")
+	}
+	if got := eng.NetworkRuns(); got != 61 {
+		t.Errorf("NetworkRuns = %d, want 61: the hot name must not have been regenerated", got)
+	}
+
+	clk.advance(3 * time.Second)
+	fast := rawUDPExchange(t, fe.Addr(), hot)
+	slow, ok := slowServeWire(oracle, hot)
+	if !ok || !bytes.Equal(fast, slow) {
+		t.Fatalf("restored fast path differs from the slow path:\nfast %x\nslow %x", fast, slow)
+	}
+	if got, want := answerTTL(fast), ttlBefore-3; got != want {
+		t.Errorf("TTL = %d after 3 more seconds, want %d", got, want)
+	}
+}

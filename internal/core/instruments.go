@@ -264,7 +264,7 @@ type protoInstruments struct {
 
 // udpSocketInstruments is one SO_REUSEPORT socket's pre-resolved
 // counters: datagrams its reader pulled from the kernel and datagrams
-// it shed to the full worker queue. Together with the socket label they
+// it shed over the UDPQueue budget. Together with the socket label they
 // make kernel flow-steering imbalance observable — a hot socket shows
 // up as a skewed packets distribution, not as an unexplained latency
 // tail. Nil members no-op.
@@ -315,12 +315,12 @@ func newFrontendInstruments(reg *metrics.Registry, dot, doh bool, udpSockets int
 		rcodes: reg.CounterVec(MetricFrontendResponses,
 			"DNS responses sent by the frontend, per response code.", "rcode"),
 		dropped: reg.Counter(MetricFrontendDropped,
-			"UDP datagrams shed because the worker queue was full."),
+			"UDP datagrams shed: over the UDPQueue budget of slow-path datagrams in flight, or unanswered when the frontend closed."),
 	}
 	sockPackets := reg.CounterVec(MetricFrontendUDPSocketPackets,
 		"Datagrams read per SO_REUSEPORT UDP socket, for flow-steering balance introspection.", "socket")
 	sockDrops := reg.CounterVec(MetricFrontendUDPSocketDrops,
-		"Datagrams shed per SO_REUSEPORT UDP socket because the worker queue was full.", "socket")
+		"Datagrams shed per SO_REUSEPORT UDP socket (see dohpool_frontend_dropped_total).", "socket")
 	inst.udpSockets = make([]udpSocketInstruments, udpSockets)
 	for i := range inst.udpSockets {
 		label := strconv.Itoa(i)
@@ -348,7 +348,7 @@ func newFrontendInstruments(reg *metrics.Registry, dot, doh bool, udpSockets int
 }
 
 // frontendLatencyBuckets is the serve-latency ladder: log-spaced from
-// 10µs (a warm engine-cache hit through the worker path) to 10s (a
+// 10µs (a warm engine-cache hit through the slow path) to 10s (a
 // full Algorithm 1 fan-out against slow resolvers), 5 buckets per
 // decade so tail quantiles keep constant relative precision.
 func frontendLatencyBuckets() []float64 {

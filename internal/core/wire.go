@@ -83,8 +83,10 @@ func buildWireEntry(spec wireSpec, p *Pool, majority bool, now time.Time) *dnsca
 
 // WireLookup returns the live pre-encoded answer for an engine cache
 // key (built by the frontend directly from query bytes) together with
-// the entry's age, for TTL patching. It allocates nothing — this is the
-// frontend's per-datagram fast path.
+// the entry's age, for TTL patching. A hit allocates nothing — this is
+// the frontend's per-datagram fast path. A miss is the frontend's way
+// out to the slow path, and on it a wire entry lost to eviction is
+// rebuilt from its pool (restoreWire).
 //
 //dohlint:noalloc
 func (e *Engine) WireLookup(key []byte) (*dnscache.WireEntry, time.Duration, bool) {
@@ -93,13 +95,42 @@ func (e *Engine) WireLookup(key []byte) (*dnscache.WireEntry, time.Duration, boo
 	}
 	en, ok := e.wire.Get(key)
 	if !ok {
-		return nil, 0, false
+		if en = e.restoreWire(key); en == nil {
+			return nil, 0, false
+		}
 	}
 	// A wire hit must still count as traffic on the pool entry: the
 	// refresher's popularity gate and the pool cache's LRU would
 	// otherwise see a red-hot key as idle and let it expire or evict.
 	e.cache.Touch(key)
 	return en, e.now().Sub(en.Stored), true
+}
+
+// restoreWire re-publishes the wire entry of a key whose pool is still
+// cached and fresh, and returns it (nil when there is no such pool).
+// WireCache.Put evicts an arbitrary entry from a full shard while the
+// pool cache keeps strict LRU, so under cold traffic a hot name keeps
+// its pool and loses its wire entry; without this it would stay on the
+// slow path for the rest of its TTL. The entry is stamped with the
+// pool's own storage time, so it ages and expires exactly as the
+// evicted one did.
+func (e *Engine) restoreWire(key []byte) *dnscache.WireEntry {
+	// Most misses are for names with no pool at all: they must not meet
+	// on the engine-wide lock.
+	if _, _, ok := e.cache.Peek(key); !ok {
+		return nil
+	}
+	e.publishMu.Lock()
+	defer e.publishMu.Unlock()
+	en, stored, ok := e.cache.Peek(key)
+	if !ok || en.spec == (wireSpec{}) {
+		return nil
+	}
+	we := buildWireEntry(en.spec, en.pool, e.gen.ServeMajority(), stored)
+	if we != nil {
+		e.wire.Put(string(key), we)
+	}
+	return we
 }
 
 // registerWireMetrics surfaces the wire cache's counters, read live at

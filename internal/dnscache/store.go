@@ -348,6 +348,25 @@ func (s *Store[V]) Touch(key []byte) {
 	}
 }
 
+// Peek returns key's value and the instant it was stored while the
+// entry is fresh, without counting a lookup or moving the entry in the
+// LRU: the engine rebuilds a lost wire entry from it, and the query
+// that triggered the rebuild is then counted where it is served.
+func (s *Store[V]) Peek(key []byte) (val V, stored time.Time, ok bool) {
+	sh := s.shardForBytes(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	el, found := sh.entries[string(key)]
+	if !found {
+		return val, stored, false
+	}
+	e := el.Value.(*storeEntry[V])
+	if !s.now().Before(e.expires) {
+		return val, stored, false
+	}
+	return e.val, e.stored, true
+}
+
 // promote moves el to the front of the shard's LRU under the write lock,
 // tolerating concurrent removal (the entry must still be the one mapped
 // under key).

@@ -333,3 +333,35 @@ func TestStoreOverwriteResetsTTL(t *testing.T) {
 		t.Errorf("age = %v, want 8s (reset at overwrite)", age)
 	}
 }
+
+// TestStorePeekLeavesNoTrace checks Peek reports a fresh entry with its
+// storage instant, reports nothing for an absent or expired one, and
+// moves neither the statistics nor the LRU order.
+func TestStorePeekLeavesNoTrace(t *testing.T) {
+	clk := newFakeClock()
+	s := NewStore[int](2, clk.now)
+	stored := clk.now()
+	s.Put("old", 1, 10*time.Second)
+	clk.advance(time.Second)
+	s.Put("new", 2, 10*time.Second)
+
+	v, at, ok := s.Peek([]byte("old"))
+	if !ok || v != 1 || !at.Equal(stored) {
+		t.Fatalf("Peek(old) = %d, %v, %v; want 1 stored at %v", v, at, ok, stored)
+	}
+	if _, _, ok := s.Peek([]byte("absent")); ok {
+		t.Error("Peek found an absent key")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("Peek moved the statistics: %+v", st)
+	}
+	// "old" is still the LRU victim.
+	s.Put("third", 3, 10*time.Second)
+	if _, _, ok := s.Peek([]byte("old")); ok {
+		t.Error("Peek promoted the entry it read")
+	}
+	clk.advance(10 * time.Second)
+	if _, _, ok := s.Peek([]byte("new")); ok {
+		t.Error("Peek returned an expired entry")
+	}
+}

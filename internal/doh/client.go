@@ -66,6 +66,14 @@ func WithPadding() ClientOption {
 	return func(c *Client) { c.pad = true }
 }
 
+// connsPerResolver is how many connections the default transport opens
+// and keeps to one resolver. HTTP/2 carries a resolver's whole load on
+// one or two (core's maxInlineGenerations is sized to that); the rest is
+// headroom for a resolver that allows few streams per connection. A
+// resolver that only speaks HTTP/1.1 is limited to this many exchanges
+// at a time; RFC 8484 §5.2 recommends HTTP/2 as the minimum.
+const connsPerResolver = 4
+
 // Client queries DoH servers. One Client may talk to any number of
 // servers; per-resolver identity lives in the URL passed to Exchange.
 type Client struct {
@@ -86,8 +94,14 @@ func NewClient(opts ...ClientOption) *Client {
 		tr := &http.Transport{
 			TLSClientConfig:     c.tlsCfg,
 			ForceAttemptHTTP2:   true,
-			MaxIdleConnsPerHost: 4,
-			IdleConnTimeout:     30 * time.Second,
+			MaxIdleConnsPerHost: connsPerResolver,
+			// Without a limit the transport dials a connection for every
+			// request that finds none free: a cold start with a burst of
+			// misses costs one TLS handshake per miss and resolver, all but
+			// connsPerResolver of them thrown away as soon as HTTP/2 shows
+			// they were not needed.
+			MaxConnsPerHost: connsPerResolver,
+			IdleConnTimeout: 30 * time.Second,
 		}
 		c.http = &http.Client{Transport: tr}
 	}

@@ -2,13 +2,17 @@ package doh
 
 import (
 	"context"
+	"crypto/tls"
+	"crypto/x509"
 	"encoding/base64"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -498,5 +502,57 @@ func TestUnpaddedClientGetsUnpaddedResponse(t *testing.T) {
 		if o.Code == dnswire.EDNSOptionPadding {
 			t.Fatal("server padded a response to an unpadded client")
 		}
+	}
+}
+
+// TestColdBurstDialsFewConnections sends a burst of exchanges through a
+// client that has no connection yet. All of them must be under way at
+// once — the responder releases none before the last has arrived — on no
+// more than connsPerResolver connections: an unlimited transport dials
+// one per request and drops most of them again as soon as HTTP/2 is
+// negotiated.
+func TestColdBurstDialsFewConnections(t *testing.T) {
+	const burst = 4 * connsPerResolver
+	var arrived, dialed atomic.Int32
+	all := make(chan struct{})
+	responder := echoResponder("192.0.2.84")
+	ts := httptest.NewUnstartedServer(NewHandler(ResponderFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		if arrived.Add(1) == burst {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return responder.Respond(ctx, q)
+	})))
+	ts.EnableHTTP2 = true
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	ts.StartTLS()
+	defer ts.Close()
+	roots := x509.NewCertPool()
+	roots.AddCert(ts.Certificate())
+	client := NewClient(WithTLSConfig(&tls.Config{RootCAs: roots}))
+
+	ctx := testCtx(t)
+	errs := make(chan error, burst)
+	for i := 0; i < burst; i++ {
+		go func() {
+			_, err := client.Query(ctx, ts.URL, "pool.ntp.test.", dnswire.TypeA)
+			errs <- err
+		}()
+	}
+	for i := 0; i < burst; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dialed.Load(); got > connsPerResolver {
+		t.Errorf("a cold burst of %d exchanges dialed %d connections, want at most %d", burst, got, connsPerResolver)
 	}
 }

@@ -22,7 +22,6 @@ func apply(cfg *dohpool.Config) {
 	cfg.Chaos.Prob = 1
 	cfg.Chaos.Seed = 1
 	cfg.Chaos.Net = dohpool.NetChaosConfig{}
-	cfg.Serve.UDPWorkers = 1
 	cfg.Serve.UDPBatch = 1
 	// Serve.UDPSockets deliberately missing.
 	cfg.Serve.MaxTCPConns = 1
