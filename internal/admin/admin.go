@@ -18,6 +18,8 @@
 //	              distrust state and the latest generation's signal
 //	              breakdown (bogus prefix, inflation, shortfall,
 //	              overlap, majority survival)
+//	/debug/pprof/ net/http/pprof: CPU, heap, goroutine and the other
+//	              runtime profiles of the running daemon
 package admin
 
 import (
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"dohpool/internal/core"
@@ -106,6 +109,13 @@ func Handler(cfg Config) http.Handler {
 	mux.HandleFunc("GET /trustz", func(w http.ResponseWriter, r *http.Request) {
 		writeTrust(w, cfg.Engine)
 	})
+	// Mounted by hand: nothing here serves http.DefaultServeMux, where
+	// importing net/http/pprof registers itself.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

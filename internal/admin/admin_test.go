@@ -332,6 +332,19 @@ func TestUnknownPathIs404(t *testing.T) {
 	}
 }
 
+// TestPprofIndexIsMounted: the profile endpoints are part of the admin
+// mux itself (not of http.DefaultServeMux, which nothing serves).
+func TestPprofIndexIsMounted(t *testing.T) {
+	srv := serverUnderTest(t, Config{})
+	code, body := get(t, "http://"+srv.Addr()+"/debug/pprof/")
+	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Fatalf("GET /debug/pprof/ = %d, body %.80q", code, body)
+	}
+	if code, _ := get(t, "http://"+srv.Addr()+"/debug/pprof/heap?debug=1"); code != http.StatusOK {
+		t.Fatalf("GET /debug/pprof/heap = %d", code)
+	}
+}
+
 // TestTrustzReportsScoresAndQuarantine drives one poisoned generation
 // through the engine and checks /trustz exposes the per-resolver scores
 // (with the bogus-prefix signal) and /poolz the attacker-entry count.

@@ -17,7 +17,6 @@ import (
 	"dohpool/internal/doh"
 	"dohpool/internal/metrics"
 	"dohpool/internal/reuseport"
-	"dohpool/internal/transport"
 	"dohpool/internal/udpbatch"
 )
 
@@ -278,11 +277,11 @@ func NewFrontendWithConfig(addr string, backend Backend, cfg FrontendConfig) (*F
 		f.dohLn = newLimitListener(ln, f.cfg.MaxTCPConns)
 		mux := http.NewServeMux()
 		dohHandler := doh.NewHandler(frontendResponder{f})
-		// Wire-cache hit path: answered from the raw query bytes before
-		// the message decoder runs, same bytes the UDP/TCP fast paths
-		// serve. Padded or otherwise EDNS-optioned queries fall through
-		// so the slow path can honour RFC 8467 response padding.
-		dohHandler.Wire = f.answerDoHWire
+		// Answered from the raw query bytes, the same bytes the UDP/TCP
+		// paths serve. Padded or otherwise EDNS-optioned queries fall
+		// through to the handler so it can honour RFC 8467 response
+		// padding.
+		dohHandler.Wire = f.serveDoH
 		mux.Handle(doh.DefaultPath, dohHandler)
 		f.dohSrv = &http.Server{
 			Handler:           mux,
@@ -390,11 +389,13 @@ func (c *limitConn) Close() error {
 // the upstream resolvers are queried with.
 type frontendResponder struct{ f *Frontend }
 
-// Respond implements doh.QueryResponder. The request context rides
-// along so an abandoned HTTP request stops driving the backend and
-// Close's drain can cancel in-flight handlers with their connections.
+// Respond implements doh.QueryResponder; only queries serveDoH left to
+// the handler (those carrying EDNS options) arrive here. The request
+// context rides along so an abandoned HTTP request stops driving the
+// backend and Close's drain can cancel in-flight handlers with their
+// connections.
 func (r frontendResponder) Respond(ctx context.Context, query *dnswire.Message) (*dnswire.Message, error) {
-	return r.f.respond(ctx, query, &r.f.inst.doh), nil
+	return r.f.respond(ctx, query, nil, dnswire.MaxMessageSize, &r.f.inst.doh).msg, nil
 }
 
 // listenSamePort binds sockets UDP sockets and one TCP listener to one
@@ -700,35 +701,12 @@ func (f *Frontend) trackStream(conn net.Conn, inst *protoInstruments, add bool) 
 	}
 }
 
-// serveStreamConn answers queries on one RFC 7766 persistent connection
-// (plain TCP or DoT) until the peer disconnects or goes idle. On a DoT
-// connection the first read also drives the TLS handshake, so the idle
-// deadline bounds handshake time too. With a wire-capable backend the
-// connection is served by the zero-alloc fast loop in frontend_stream.go;
-// without one (bare Generator backends) it falls back to the classic
-// decode-respond-encode loop.
-func (f *Frontend) serveStreamConn(conn net.Conn, inst *protoInstruments) {
-	if f.wire != nil {
-		f.serveStreamConnFast(conn, inst)
-		return
-	}
-	for {
-		_ = conn.SetReadDeadline(time.Now().Add(f.cfg.TCPIdleTimeout))
-		query, err := transport.ReadTCPMessage(conn)
-		if err != nil {
-			return
-		}
-		if !f.respondStream(conn, query, inst) {
-			return
-		}
-	}
-}
-
 // respondStream runs one slow-path query/response exchange on a stream
 // connection, reporting whether the connection is still good for more.
-func (f *Frontend) respondStream(conn net.Conn, query *dnswire.Message, inst *protoInstruments) bool {
-	resp := f.respond(context.Background(), query, inst)
-	if err := transport.WriteTCPMessage(conn, resp); err != nil {
+// raw is the frame query was decoded from.
+func (f *Frontend) respondStream(conn net.Conn, query *dnswire.Message, raw []byte, inst *protoInstruments) bool {
+	ans := f.respond(context.Background(), query, raw, dnswire.MaxMessageSize, inst)
+	if _, err := conn.Write(ans.framed); err != nil {
 		if !f.closed.Load() {
 			inst.writeErrs.Inc()
 		}
@@ -737,39 +715,25 @@ func (f *Frontend) respondStream(conn net.Conn, query *dnswire.Message, inst *pr
 	return true
 }
 
-// handleUDP is the slow path for one datagram: full decode, backend
-// lookup, encode, truncation. The reply leaves through the socket whose
-// reader pulled the query (pkt.sock), preserving the kernel's
-// flow→socket affinity for the peer.
+// handleUDP is the slow path for one datagram: full decode, then respond
+// within the payload size the client advertised. The reply leaves through
+// the socket whose reader pulled the query (pkt.sock), preserving the
+// kernel's flow→socket affinity for the peer.
 func (f *Frontend) handleUDP(pkt *udpPacket) {
-	wire, client := pkt.dg.Buf[:pkt.dg.N], &pkt.addr
-	query, err := dnswire.Decode(wire)
+	raw := pkt.dg.Buf[:pkt.dg.N]
+	query, err := dnswire.Decode(raw)
 	if err != nil {
 		return // drop undecodable datagrams
 	}
-	resp := f.respond(context.Background(), query, &f.inst.udp)
-
-	// Honour the client's advertised UDP payload size; flag truncation so
-	// the stub retries over TCP (RFC 1035 §4.2.1 behaviour).
-	maxSize := dnswire.MaxUDPSize
-	if size, ok := query.EDNSSize(); ok && int(size) > maxSize {
-		maxSize = int(size)
+	// Honour the client's advertised UDP payload size; a response beyond
+	// it is flagged truncated so the stub retries over TCP (RFC 1035
+	// §4.2.1 behaviour).
+	limit := dnswire.MaxUDPSize
+	if size, ok := query.EDNSSize(); ok && int(size) > limit {
+		limit = int(size)
 	}
-	respWire, err := resp.Encode()
-	if err != nil {
-		return
-	}
-	if len(respWire) > maxSize {
-		truncated := resp.Copy()
-		truncated.Answers = nil
-		truncated.Authority = nil
-		truncated.Additional = nil
-		truncated.Header.Truncated = true
-		if respWire, err = truncated.Encode(); err != nil {
-			return
-		}
-	}
-	if _, err := pkt.sock.conn.WriteToUDP(respWire, client); err != nil {
+	ans := f.respond(context.Background(), query, raw, limit, &f.inst.udp)
+	if _, err := pkt.sock.conn.WriteToUDP(ans.framed[2:], &pkt.addr); err != nil {
 		if f.closed.Load() {
 			// Close took the socket away while the generation ran.
 			f.shed(pkt.sock)
@@ -779,12 +743,31 @@ func (f *Frontend) handleUDP(pkt *udpPacket) {
 	}
 }
 
-// respond builds the DNS answer for one query from the consensus
-// backend; inst is the per-transport instrument set of the path that
-// received it, and parent bounds the lookup alongside cfg.Timeout
-// (the DoH path passes its request context; the datagram/stream paths
-// have no per-query context and pass Background).
-func (f *Frontend) respond(parent context.Context, query *dnswire.Message, inst *protoInstruments) *dnswire.Message {
+// slowAnswer is one slow-path response, encoded.
+type slowAnswer struct {
+	// framed is the response behind its RFC 7766 length prefix: a stream
+	// writes it whole, a datagram or a DoH body is framed[2:].
+	framed []byte
+	// maxAge is the smallest answer TTL (0 without answers), for DoH.
+	maxAge uint32
+	// msg is what framed was encoded from; nil for a copied wire entry.
+	msg *dnswire.Message
+}
+
+// respond answers one slow-path query from the consensus backend, on any
+// transport: raw is the query as received (nil when the caller has only
+// the message), limit the largest response the transport carries (beyond
+// it the TC form is sent), inst the instrument set of the path that
+// received it, and parent bounds the lookup alongside cfg.Timeout (the DoH
+// path passes its request context, the others Background).
+//
+// Once the lookup has returned, the answer is the pre-encoded entry its
+// generation published, copied and patched exactly as on the fast path.
+// A message is built and encoded only when there is no such entry (error
+// rcodes, uncacheable pools, a backend without a wire cache, a query the
+// strict parser does not prove, an entry evicted along with its pool),
+// and then from the pool that one lookup returned.
+func (f *Frontend) respond(parent context.Context, query *dnswire.Message, raw []byte, limit int, inst *protoInstruments) slowAnswer {
 	inst.queries.Inc()
 	inst.inflight.Inc()
 	start := time.Now()
@@ -792,26 +775,78 @@ func (f *Frontend) respond(parent context.Context, query *dnswire.Message, inst 
 		inst.latency.Observe(time.Since(start).Seconds())
 		inst.inflight.Dec()
 	}()
-	if query.Header.Response || query.Header.Opcode != dnswire.OpcodeQuery || len(query.Questions) != 1 {
-		f.failures.Add(1)
-		return f.errorResponse(query, dnswire.RCodeFormErr)
-	}
-	q := query.Questions[0]
-	if q.Type != dnswire.TypeA && q.Type != dnswire.TypeAAAA {
+	rcode := dnswire.RCodeSuccess
+	switch {
+	case query.Header.Response || query.Header.Opcode != dnswire.OpcodeQuery || len(query.Questions) != 1:
+		rcode = dnswire.RCodeFormErr
+	case query.Questions[0].Type != dnswire.TypeA && query.Questions[0].Type != dnswire.TypeAAAA:
 		// The mechanism is specific to server-pool generation, which only
 		// supports address lookups (paper §II).
-		f.failures.Add(1)
-		return f.errorResponse(query, dnswire.RCodeNotImp)
+		rcode = dnswire.RCodeNotImp
+	default:
+		q := query.Questions[0]
+		ctx, cancel := context.WithTimeout(parent, f.cfg.Timeout)
+		pool, err := f.backend.Lookup(ctx, q.Name, q.Type)
+		cancel()
+		if err != nil {
+			rcode = dnswire.RCodeServFail
+			break
+		}
+		ans, ok := f.wireAnswer(raw, limit)
+		if !ok {
+			ans, ok = f.poolAnswer(query, pool, limit)
+		}
+		if ok {
+			f.served.Add(1)
+			f.inst.rcode(dnswire.RCodeSuccess).Inc()
+			return ans
+		}
+		// A pool too large for a 64 KiB message cannot be sent on any
+		// transport: to the client that is a failed resolution, and it is
+		// counted as one.
+		rcode = dnswire.RCodeServFail
 	}
+	f.failures.Add(1)
+	f.inst.rcode(rcode).Inc()
+	resp := dnswire.NewErrorResponse(query, rcode)
+	framed, _ := encodeFramed(resp, limit) // a header and the query's own question always encode
+	return slowAnswer{framed: framed, msg: resp}
+}
 
-	ctx, cancel := context.WithTimeout(parent, f.cfg.Timeout)
-	defer cancel()
-	pool, err := f.backend.Lookup(ctx, q.Name, q.Type)
-	if err != nil {
-		f.failures.Add(1)
-		return f.errorResponse(query, dnswire.RCodeServFail)
+// wireAnswer is the fast paths' patch-and-copy for a query whose Lookup
+// has just returned: the entry for raw's question, in the form that fits
+// limit, with the query's ID and RD/CD bits and the aged TTL.
+func (f *Frontend) wireAnswer(raw []byte, limit int) (slowAnswer, bool) {
+	if f.wire == nil {
+		return slowAnswer{}, false
 	}
+	var scratch [wireKeyMax]byte
+	key, _, _, ok := parseWireQuery(raw, scratch[:])
+	if !ok {
+		return slowAnswer{}, false
+	}
+	we, age, ok := f.wire.WireLookup(key, true)
+	if !ok {
+		return slowAnswer{}, false
+	}
+	form, truncated := we.Form(limit)
+	ans := slowAnswer{framed: frame(form)}
+	body := ans.framed[2:]
+	dnswire.PatchID(body, uint16(raw[0])<<8|uint16(raw[1]))
+	dnswire.EchoFlags(body, raw)
+	if !truncated {
+		ttl := agedTTL(we.TTL, age)
+		dnswire.PatchAnswerTTLs(body, we.TTLOffsets, ttl)
+		if len(we.TTLOffsets) > 0 {
+			ans.maxAge = ttl
+		}
+	}
+	return ans, true
+}
 
+// poolAnswer builds and encodes the answer carrying pool; false when it
+// cannot be encoded.
+func (f *Frontend) poolAnswer(query *dnswire.Message, pool *Pool, limit int) (slowAnswer, bool) {
 	resp := dnswire.NewResponse(query)
 	resp.Header.RecursionAvailable = true
 	addrs := pool.Addrs
@@ -822,16 +857,32 @@ func (f *Frontend) respond(parent context.Context, query *dnswire.Message, inst 
 	if ttl == 0 {
 		ttl = DefaultPoolTTL
 	}
+	name := query.Questions[0].Name
+	resp.Answers = make([]dnswire.Record, 0, len(addrs))
 	for _, a := range addrs {
-		resp.Answers = append(resp.Answers, dnswire.AddressRecord(q.Name, a, ttl))
+		resp.Answers = append(resp.Answers, dnswire.AddressRecord(name, a, ttl))
 	}
-	f.served.Add(1)
-	f.inst.rcode(dnswire.RCodeSuccess).Inc()
-	return resp
+	framed, err := encodeFramed(resp, limit)
+	return slowAnswer{framed: framed, maxAge: resp.MinAnswerTTL(0), msg: resp}, err == nil
 }
 
-// errorResponse builds an error answer and counts its response code.
-func (f *Frontend) errorResponse(query *dnswire.Message, rcode dnswire.RCode) *dnswire.Message {
-	f.inst.rcode(rcode).Inc()
-	return dnswire.NewErrorResponse(query, rcode)
+// encodeFramed encodes resp behind its RFC 7766 length prefix — in the TC
+// form (sections stripped, so the stub retries over TCP) when the full
+// one exceeds limit.
+func encodeFramed(resp *dnswire.Message, limit int) ([]byte, error) {
+	wire, err := resp.Encode()
+	if err != nil {
+		return nil, err
+	}
+	if len(wire) > limit {
+		truncated := resp.Copy()
+		truncated.Answers = nil
+		truncated.Authority = nil
+		truncated.Additional = nil
+		truncated.Header.Truncated = true
+		if wire, err = truncated.Encode(); err != nil {
+			return nil, err
+		}
+	}
+	return frame(wire), nil
 }

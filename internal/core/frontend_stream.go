@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"dohpool/internal/dnswire"
@@ -19,8 +19,8 @@ import (
 // included), touching neither the decoder nor the encoder and
 // allocating nothing in steady state; DoH writes the unframed form
 // straight to the ResponseWriter. Anything the strict parser cannot
-// prove falls through to the classic decode → respond → encode path,
-// which behaves exactly as before.
+// prove, or the cache does not hold, falls through to the slow path
+// (Frontend.respond), which decodes the query and looks the pool up.
 
 // streamScratch is the pooled per-connection working set of the stream
 // fast path: the frame read buffer, the cache-key scratch and the
@@ -49,10 +49,13 @@ func (s *streamScratch) outBuf(n int) []byte {
 	return s.out[:n]
 }
 
-// serveStreamConnFast is serveStreamConn for wire-capable backends: it
-// reads raw frames and serves cache hits without constructing a single
-// message value, falling back per query to the classic path.
-func (f *Frontend) serveStreamConnFast(conn net.Conn, inst *protoInstruments) {
+// serveStreamConn answers queries on one RFC 7766 persistent connection
+// (plain TCP or DoT) until the peer disconnects or goes idle. On a DoT
+// connection the first read also drives the TLS handshake, so the idle
+// deadline bounds handshake time too. It reads raw frames and serves
+// cache hits without constructing a single message value, falling back
+// per query to the slow path.
+func (f *Frontend) serveStreamConn(conn net.Conn, inst *protoInstruments) {
 	s := f.streamPool.Get().(*streamScratch)
 	defer f.streamPool.Put(s)
 	for {
@@ -70,12 +73,12 @@ func (f *Frontend) serveStreamConnFast(conn net.Conn, inst *protoInstruments) {
 		}
 		// Slow path: decode the frame we already read and answer through
 		// the regular responder. An undecodable frame closes the
-		// connection, exactly as transport.ReadTCPMessage would have.
+		// connection.
 		query, err := dnswire.Decode(q)
 		if err != nil {
 			return
 		}
-		if !f.respondStream(conn, query, inst) {
+		if !f.respondStream(conn, query, q, inst) {
 			return
 		}
 	}
@@ -114,11 +117,14 @@ func readStreamFrame(conn net.Conn, s *streamScratch) ([]byte, error) {
 //
 //dohlint:noalloc
 func (f *Frontend) answerStreamWire(conn net.Conn, q []byte, s *streamScratch, inst *protoInstruments) (bool, error) {
+	if f.wire == nil {
+		return false, nil
+	}
 	key, _, _, ok := parseWireQuery(q, s.key[:])
 	if !ok {
 		return false, nil
 	}
-	we, age, ok := f.wire.WireLookup(key)
+	we, age, ok := f.wire.WireLookup(key, false)
 	if !ok {
 		return false, nil
 	}
@@ -147,17 +153,38 @@ func (f *Frontend) answerStreamWire(conn net.Conn, q []byte, s *streamScratch, i
 	return true, err
 }
 
-// answerDoHWire is the doh.Handler.Wire hook: it serves a cache hit by
-// writing the patched pre-encoded body straight to the ResponseWriter,
+// serveDoH is the doh.Handler.Wire hook. A cache hit is answered by
+// answerDoHWire; any other query without EDNS options takes the slow path
+// right here, on the bytes it arrived in, so that its answer too is a
+// patched copy of the wire entry. Queries with options are left to the
+// handler, which shapes their answers (RFC 8467 padding) from the message
+// frontendResponder returns, as are undecodable ones, which it refuses.
+func (f *Frontend) serveDoH(ctx context.Context, w http.ResponseWriter, raw []byte) bool {
+	if f.answerDoHWire(w, raw) {
+		return true
+	}
+	query, err := dnswire.Decode(raw)
+	if err != nil {
+		return false
+	}
+	if opts, err := query.EDNSOptions(); err != nil || len(opts) > 0 {
+		return false
+	}
+	ans := f.respond(ctx, query, raw, dnswire.MaxMessageSize, &f.inst.doh)
+	_ = doh.WriteResponse(w, ans.framed[2:], ans.maxAge) // the client went away; nothing to tell it
+	return true
+}
+
+// answerDoHWire serves a cache hit by writing the patched pre-encoded body straight to the ResponseWriter,
 // with the same headers the slow path would set. Queries carrying any
 // EDNS option data fall through — the slow path reacts to options
 // (RFC 8467 padding in particular), and the fast path must never serve
 // bytes the slow path would have shaped differently.
 //
 // Unlike the UDP and stream serves this one cannot be allocation-free
-// end to end: net/http header insertion copies its values. The waived
-// lines below are exactly that HTTP boundary; everything else —
-// parse, lookup, copy, patch — holds the noalloc contract.
+// end to end: doh.WriteResponse builds header values and net/http copies
+// them. Everything on this side of that HTTP boundary — parse, lookup,
+// copy, patch — holds the noalloc contract.
 //
 //dohlint:noalloc
 func (f *Frontend) answerDoHWire(w http.ResponseWriter, query []byte) bool {
@@ -170,7 +197,7 @@ func (f *Frontend) answerDoHWire(w http.ResponseWriter, query []byte) bool {
 	if !ok || optData != 0 {
 		return false
 	}
-	we, age, ok := f.wire.WireLookup(key)
+	we, age, ok := f.wire.WireLookup(key, false)
 	if !ok {
 		return false
 	}
@@ -184,17 +211,13 @@ func (f *Frontend) answerDoHWire(w http.ResponseWriter, query []byte) bool {
 	inst := &f.inst.doh
 	inst.queries.Inc()
 	inst.inflight.Inc()
-	h := w.Header()
-	h.Set("Content-Type", doh.MediaType) // dohlint:allow(noalloc) — net/http header insertion copies
 	// max-age mirrors the slow path's resp.MinAnswerTTL(0): the aged
 	// answer TTL, or 0 for an answerless response.
 	maxAge := uint32(0)
 	if len(we.TTLOffsets) > 0 {
 		maxAge = ttl
 	}
-	h.Set("Cache-Control", "max-age="+strconv.FormatUint(uint64(maxAge), 10)) // dohlint:allow(noalloc) — header value built per response
-	h.Set("Content-Length", strconv.Itoa(len(body)))                          // dohlint:allow(noalloc) — header value built per response
-	if _, err := w.Write(body); err == nil {
+	if err := doh.WriteResponse(w, body, maxAge); err == nil {
 		f.served.Add(1)
 		f.inst.rcode(dnswire.RCodeSuccess).Inc()
 	}

@@ -136,11 +136,7 @@ func dohPost(t testing.TB, client *http.Client, addr string, query []byte) ([]by
 // including the shapes whose UDP answer truncates, because a stream
 // never does.
 func TestStreamFastPathDifferential(t *testing.T) {
-	q := &swapQuerier{lists: map[string][]netip.Addr{
-		"u0": manyAddrs(0, 40),
-		"u1": manyAddrs(1000, 40),
-		"u2": manyAddrs(2000, 40),
-	}}
+	q := bigPoolQuerier()
 	clk := newTestClock()
 	eng, fastFE, slowFE, ca := streamPairUnderTest(t, q, clk)
 
@@ -150,7 +146,7 @@ func TestStreamFastPathDifferential(t *testing.T) {
 	if resp := rawUDPExchange(t, fastFE.Addr(), warm); resp[3]&0x0F != 0 {
 		t.Fatalf("warm query rcode = %d", resp[3]&0x0F)
 	}
-	entry, _, ok := eng.WireLookup([]byte("pool.test.|1"))
+	entry, _, ok := eng.WireLookup([]byte("pool.test.|1"), false)
 	if !ok {
 		t.Fatal("no wire entry after warm-up")
 	}

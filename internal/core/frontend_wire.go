@@ -13,16 +13,17 @@ import (
 // transaction ID, RD/CD echo, aged TTLs — never touching the decoder,
 // the message builder or the encoder. Everything the fast path cannot
 // prove about a query (unusual flags, compression pointers, non-address
-// types, absent or expired wire entries) falls through to the slow path,
-// which behaves exactly as it always has; the fast path is therefore
-// free to be strict.
+// types, absent or expired wire entries) falls through to the slow path
+// (Frontend.respond); the fast path is therefore free to be strict.
 
 // wireBackend is the optional backend extension the fast path needs:
 // the engine implements it, the one-shot generator (and test stubs) do
 // not, and a frontend over a backend without it simply serves every
 // datagram through the slow path.
 type wireBackend interface {
-	WireLookup(key []byte) (*dnscache.WireEntry, time.Duration, bool)
+	// afterLookup is false on the fast paths and true for the read the
+	// slow path makes once its Lookup has returned (see Engine.WireLookup).
+	WireLookup(key []byte, afterLookup bool) (*dnscache.WireEntry, time.Duration, bool)
 }
 
 // udpPacketBuf is the per-packet buffer size: big enough for any
@@ -173,7 +174,7 @@ func (f *Frontend) answerWire(pkt *udpPacket) bool {
 		return false
 	}
 
-	we, age, ok := f.wire.WireLookup(key)
+	we, age, ok := f.wire.WireLookup(key, false)
 	if !ok {
 		return false
 	}

@@ -177,7 +177,7 @@ func TestWireFastPathDifferential(t *testing.T) {
 		t.Fatal("fast path not serving after warm-up")
 	}
 
-	full, _, ok := eng.WireLookup([]byte("pool.test.|1"))
+	full, _, ok := eng.WireLookup([]byte("pool.test.|1"), false)
 	if !ok {
 		t.Fatal("no wire entry after warm-up")
 	}
@@ -300,7 +300,7 @@ func TestWireFastPathInvalidationOnRefresh(t *testing.T) {
 	eng, fe := wireEngineUnderTest(t, q, clk, EngineConfig{MaxStale: time.Hour})
 	warm := rawQueryBytes(t, 1, "pool.test.", dnswire.TypeA, 0, true, false)
 	rawUDPExchange(t, fe.Addr(), warm)
-	oldEntry, _, ok := eng.WireLookup([]byte("pool.test.|1"))
+	oldEntry, _, ok := eng.WireLookup([]byte("pool.test.|1"), false)
 	if !ok {
 		t.Fatal("no wire entry after warm-up")
 	}
@@ -315,7 +315,7 @@ func TestWireFastPathInvalidationOnRefresh(t *testing.T) {
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		en, _, ok := eng.WireLookup([]byte("pool.test.|1"))
+		en, _, ok := eng.WireLookup([]byte("pool.test.|1"), false)
 		if ok && !bytes.Equal(en.Full, oldEntry.Full) {
 			break
 		}
@@ -469,11 +469,7 @@ func TestWireFastPathTTLAging(t *testing.T) {
 // RD/CD combination, including the TC rule for a pool that outgrows 512
 // and 1232 octets.
 func TestParkedAnswerDifferential(t *testing.T) {
-	q := newBlockingQuerier(&swapQuerier{lists: map[string][]netip.Addr{
-		"u0": manyAddrs(0, 40),
-		"u1": manyAddrs(1000, 40),
-		"u2": manyAddrs(2000, 40),
-	}})
+	q := newBlockingQuerier(bigPoolQuerier())
 	clk := newTestClock()
 	eng, fe := wireEngineUnderTest(t, q, clk, EngineConfig{})
 	oracle, err := NewFrontendWithConfig("127.0.0.1:0", slowOnlyBackend{eng}, FrontendConfig{Timeout: time.Second})
@@ -543,6 +539,15 @@ func TestParkedAnswerDifferential(t *testing.T) {
 		if gotAns := int(got[6])<<8 | int(got[7]); gotAns != tc.wantAns {
 			t.Errorf("%s: ancount = %d, want %d", tc.name, gotAns, tc.wantAns)
 		}
+	}
+	// The answers above were read out of the wire cache once their
+	// generations had published: that read is neither a second lookup nor
+	// a fast-path hit. (The oracle's lookups were pool-cache hits.)
+	if got := eng.NetworkRuns(); got != uint64(len(cases)) {
+		t.Errorf("%d generations for %d names", got, len(cases))
+	}
+	if st := eng.wire.Stats(); st.Hits != 0 || st.Misses != uint64(len(cases)) {
+		t.Errorf("wire cache hits %d misses %d, want 0 and %d: one fast-path miss per query and nothing else", st.Hits, st.Misses, len(cases))
 	}
 }
 

@@ -11,16 +11,19 @@ import (
 	"dohpool/internal/dnswire"
 )
 
-// slowServeWire mirrors handleUDP byte for byte minus the socket I/O:
-// strict decode, respond, honour the advertised payload size, truncate
-// by stripping sections. It is the oracle FuzzWireFastPath holds the
-// allocation-free fast path against.
+// slowServeWire is handleUDP as it was before any answer was copied from
+// a wire entry, minus the socket I/O: strict decode, the message respond
+// builds when it is given no raw query to patch an entry for, encoded
+// here, honouring the advertised payload size, truncated by stripping
+// sections. It is the oracle FuzzWireFastPath holds the allocation-free
+// fast path against, and the differential tests every served-after-miss
+// answer.
 func slowServeWire(f *Frontend, wire []byte) ([]byte, bool) {
 	query, err := dnswire.Decode(wire)
 	if err != nil {
 		return nil, false
 	}
-	resp := f.respond(context.Background(), query, &f.inst.udp)
+	resp := f.respond(context.Background(), query, nil, dnswire.MaxMessageSize, &f.inst.udp).msg
 	maxSize := dnswire.MaxUDPSize
 	if size, ok := query.EDNSSize(); ok && int(size) > maxSize {
 		maxSize = int(size)
@@ -81,7 +84,7 @@ func FuzzWireFastPath(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	full, _, ok := eng.WireLookup([]byte("pool.test.|1"))
+	full, _, ok := eng.WireLookup([]byte("pool.test.|1"), false)
 	if !ok {
 		f.Fatal("wire cache not populated after warm-up lookups")
 	}

@@ -242,57 +242,48 @@ func (h *hedgedQuerier) Query(ctx context.Context, url, name string, typ dnswire
 	return resp, err
 }
 
-func (h *hedgedQuerier) query(ctx context.Context, url, name string, typ dnswire.Type) (*dnswire.Message, error) {
+func (h *hedgedQuerier) query(parent context.Context, url, name string, typ dnswire.Type) (*dnswire.Message, error) {
 	var delay time.Duration
 	if !h.disable && (h.trust == nil || h.trust.Trusted(url)) {
 		delay = h.health.hedgeDelay(url, h.fixed)
 	}
 	if delay <= 0 {
-		return h.inner.Query(ctx, url, name, typ)
+		return h.inner.Query(parent, url, name, typ)
 	}
 
+	// The primary attempt runs right here, on the caller's goroutine; the
+	// backup gets one (the timer's) only if the hedge delay passes first,
+	// as it does for the straggling few. Both run under ctx: a successful
+	// backup cancels it to stop the primary, and returning cancels it to
+	// stop whatever is still out, so the callback cannot outlive this call
+	// by more than the time inner takes to notice (its send is buffered).
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
 	type outcome struct {
-		resp   *dnswire.Message
-		err    error
-		backup bool
+		resp *dnswire.Message
+		err  error
 	}
-	results := make(chan outcome, 2)
-	attempt := func(backup bool) {
+	backup := make(chan outcome, 1)
+	timer := time.AfterFunc(delay, func() {
+		growstack()
+		h.health.recordHedge(url)
 		resp, err := h.inner.Query(ctx, url, name, typ)
-		results <- outcome{resp, err, backup}
-	}
-	// Hedged attempts are bounded fire-and-forget: the inner Query
-	// carries ctx's deadline and the results channel is buffered for
-	// both attempts, so a loser can never block or outlive the timeout.
-	go attempt(false) // dohlint:allow(golifecycle) — bounded by ctx deadline, buffered channel
-	outstanding := 1
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	timerC := timer.C
-
-	var lastErr error
-	for {
-		select {
-		case r := <-results:
-			outstanding--
-			if r.err == nil {
-				if r.backup {
-					h.health.recordHedgeWin(url)
-				}
-				return r.resp, nil
-			}
-			lastErr = r.err
-			if outstanding == 0 {
-				return nil, lastErr
-			}
-		case <-timerC:
-			timerC = nil
-			h.health.recordHedge(url)
-			outstanding++
-			go attempt(true) // dohlint:allow(golifecycle) — bounded by ctx deadline, buffered channel
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		if err == nil {
+			cancel()
 		}
+		backup <- outcome{resp, err}
+	})
+	resp, err := h.inner.Query(ctx, url, name, typ)
+	if timer.Stop() || err == nil {
+		return resp, err // no backup was started, or the primary beat it
+	}
+	select {
+	case b := <-backup:
+		if b.err == nil {
+			h.health.recordHedgeWin(url)
+		}
+		return b.resp, b.err
+	case <-parent.Done():
+		return nil, parent.Err()
 	}
 }

@@ -17,8 +17,9 @@ import (
 // can never serve bytes from a superseded generation.
 
 // buildWireEntry pre-encodes the full and truncated response forms for
-// one freshly generated pool. The message mirrors the slow path
-// (Frontend.respond + handleUDP truncation) field for field: QR set,
+// one freshly generated pool. The message mirrors the one the slow path
+// builds when it has no entry to copy (Frontend.poolAnswer, encodeFramed's
+// truncation) field for field: QR set,
 // RA set, RD/CD clear (patched per query), ID 0 (patched per query),
 // answers carrying the pool TTL. It returns nil when the pool cannot be
 // encoded (a pool large enough to overflow the 64 KiB message limit);
@@ -27,7 +28,7 @@ func buildWireEntry(spec wireSpec, p *Pool, majority bool, now time.Time) *dnsca
 	ttl := p.TTL
 	if ttl == 0 {
 		// Unreachable for cached pools (TTL-0 pools are never stored),
-		// but kept identical to respond's guard.
+		// but kept identical to poolAnswer's guard.
 		ttl = DefaultPoolTTL
 	}
 	name := dnswire.CanonicalName(spec.domain)
@@ -65,11 +66,8 @@ func buildWireEntry(spec wireSpec, p *Pool, majority bool, now time.Time) *dnsca
 	}
 	// Store the full form once, behind its RFC 7766 length prefix: the
 	// stream fast path serves framed[0:] whole, the datagram fast path
-	// serves framed[2:]. Encode already caps messages at 64 KiB, so the
-	// length always fits the 2-byte prefix.
-	framed := make([]byte, 2+len(full))
-	framed[0], framed[1] = byte(len(full)>>8), byte(len(full))
-	copy(framed[2:], full)
+	// serves framed[2:].
+	framed := frame(full)
 	return &dnscache.WireEntry{
 		Full:       framed[2:],
 		FullFramed: framed,
@@ -81,28 +79,48 @@ func buildWireEntry(spec wireSpec, p *Pool, majority bool, now time.Time) *dnsca
 	}
 }
 
+// frame returns a copy of msg behind its RFC 7766 two-octet length
+// prefix. Encode caps messages at 64 KiB, so the length always fits.
+func frame(msg []byte) []byte {
+	framed := make([]byte, 2+len(msg))
+	framed[0], framed[1] = byte(len(msg)>>8), byte(len(msg))
+	copy(framed[2:], msg)
+	return framed
+}
+
 // WireLookup returns the live pre-encoded answer for an engine cache
 // key (built by the frontend directly from query bytes) together with
 // the entry's age, for TTL patching. A hit allocates nothing — this is
 // the frontend's per-datagram fast path. A miss is the frontend's way
 // out to the slow path, and on it a wire entry lost to eviction is
-// rebuilt from its pool (restoreWire).
+// rebuilt from its pool (restoreWire). afterLookup marks the read a
+// slow-path query makes once its Lookup has returned: that Lookup was
+// the query's one cache access, so no wire hit or miss is counted and the
+// pool entry is not touched.
 //
 //dohlint:noalloc
-func (e *Engine) WireLookup(key []byte) (*dnscache.WireEntry, time.Duration, bool) {
+func (e *Engine) WireLookup(key []byte, afterLookup bool) (*dnscache.WireEntry, time.Duration, bool) {
 	if e.wire == nil {
 		return nil, 0, false
 	}
-	en, ok := e.wire.Get(key)
+	var en *dnscache.WireEntry
+	var ok bool
+	if afterLookup {
+		en, ok = e.wire.Peek(key)
+	} else {
+		en, ok = e.wire.Get(key)
+	}
 	if !ok {
 		if en = e.restoreWire(key); en == nil {
 			return nil, 0, false
 		}
 	}
-	// A wire hit must still count as traffic on the pool entry: the
-	// refresher's popularity gate and the pool cache's LRU would
-	// otherwise see a red-hot key as idle and let it expire or evict.
-	e.cache.Touch(key)
+	if !afterLookup {
+		// A wire hit must still count as traffic on the pool entry: the
+		// refresher's popularity gate and the pool cache's LRU would
+		// otherwise see a red-hot key as idle and let it expire or evict.
+		e.cache.Touch(key)
+	}
 	return en, e.now().Sub(en.Stored), true
 }
 

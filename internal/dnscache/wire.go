@@ -133,19 +133,32 @@ func (c *WireCache) shardFor(key []byte) *wireShard {
 	return c.shards[h&c.mask]
 }
 
-// Get returns the live entry for key, or (nil, false). It allocates
-// nothing: key stays a []byte end to end and the map index converts it
-// without a heap string. An expired entry counts as a miss and is
-// removed on the spot.
+// Get returns the live entry for key, or (nil, false), and counts the
+// lookup as a hit or a miss. It allocates nothing: key stays a []byte end
+// to end and the map index converts it without a heap string. An expired
+// entry counts as a miss and is removed on the spot.
 //
 //dohlint:noalloc
 func (c *WireCache) Get(key []byte) (*WireEntry, bool) {
+	e, ok := c.Peek(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return e, ok
+}
+
+// Peek is Get without the hit or miss: the read of a query that has
+// already been counted where it was looked up.
+//
+//dohlint:noalloc
+func (c *WireCache) Peek(key []byte) (*WireEntry, bool) {
 	sh := c.shardFor(key)
 	sh.mu.RLock()
 	e, ok := sh.m[string(key)]
 	sh.mu.RUnlock()
 	if !ok {
-		c.misses.Add(1)
 		return nil, false
 	}
 	if !c.now().Before(e.Expires) {
@@ -156,10 +169,8 @@ func (c *WireCache) Get(key []byte) (*WireEntry, bool) {
 			delete(sh.m, string(key))
 		}
 		sh.mu.Unlock()
-		c.misses.Add(1)
 		return nil, false
 	}
-	c.hits.Add(1)
 	return e, true
 }
 

@@ -58,54 +58,72 @@ func IsSubdomain(child, parent string) bool {
 
 // ValidateName checks presentation-format name length constraints.
 func ValidateName(name string) error {
-	name = CanonicalName(name)
-	if name == "." {
-		return nil
+	return validateLabels(canonicalNoDot(name))
+}
+
+// canonicalNoDot is CanonicalName without the trailing dot ("" for the
+// root): the form whose substrings after each dot are the name's
+// suffixes, so the encoder can walk and key them without splitting. An
+// already lower-case name is returned as a substring of itself.
+func canonicalNoDot(name string) string {
+	return strings.TrimSuffix(strings.ToLower(strings.TrimSpace(name)), ".")
+}
+
+// validateLabels checks a canonicalNoDot name label by label, in place:
+// the first empty or over-long label is reported first, the total length
+// only once every label has passed.
+func validateLabels(name string) error {
+	if name == "" {
+		return nil // root
 	}
-	// Wire form length: one length octet per label plus label bytes plus
-	// the terminating zero octet.
-	wireLen := 1
-	for _, label := range SplitLabels(name) {
+	for rest, more := name, true; more; {
+		var label string
+		label, rest, more = strings.Cut(rest, ".")
 		if len(label) == 0 {
-			return fmt.Errorf("%q: %w", name, ErrEmptyLabel)
+			return fmt.Errorf("%q: %w", name+".", ErrEmptyLabel)
 		}
 		if len(label) > MaxLabelLength {
-			return fmt.Errorf("%q: %w", name, ErrLabelTooLong)
+			return fmt.Errorf("%q: %w", name+".", ErrLabelTooLong)
 		}
-		wireLen += 1 + len(label)
 	}
-	if wireLen > MaxNameLength {
-		return fmt.Errorf("%q: %w", name, ErrNameTooLong)
+	// Wire form length: one length octet per label plus label bytes plus
+	// the terminating zero octet — the dots become the length octets of
+	// every label but the first.
+	if len(name)+2 > MaxNameLength {
+		return fmt.Errorf("%q: %w", name+".", ErrNameTooLong)
 	}
 	return nil
 }
 
 // compressionMap records, for every name suffix already emitted, its offset
 // in the message so later occurrences can be replaced with a pointer
-// (RFC 1035 §4.1.4). Pointers must fit in 14 bits.
+// (RFC 1035 §4.1.4). Pointers must fit in 14 bits. Keys are canonicalNoDot
+// suffixes: substrings of the names encoded, never copies.
 type compressionMap map[string]int
 
 // appendName appends the wire form of name to buf, using and updating cmap
 // for compression. Passing a nil cmap disables compression (required for
-// names inside RDATA of types where compression is forbidden).
+// names inside RDATA of types where compression is forbidden). The name is
+// canonicalised once and validated before anything is written, so an
+// invalid name leaves buf and cmap as they were.
 func appendName(buf []byte, name string, cmap compressionMap) ([]byte, error) {
-	if err := ValidateName(name); err != nil {
+	name = canonicalNoDot(name)
+	if err := validateLabels(name); err != nil {
 		return buf, err
 	}
-	name = CanonicalName(name)
-	labels := SplitLabels(name)
-	for i := range labels {
-		suffix := strings.Join(labels[i:], ".") + "."
+	for rest, more := name, name != ""; more; {
 		if cmap != nil {
-			if off, ok := cmap[suffix]; ok {
+			if off, ok := cmap[rest]; ok {
 				return append(buf, byte(0xC0|off>>8), byte(off)), nil
 			}
 			if off := len(buf); off < 0x3FFF {
-				cmap[suffix] = off
+				cmap[rest] = off
 			}
 		}
-		buf = append(buf, byte(len(labels[i])))
-		buf = append(buf, labels[i]...)
+		var label string
+		label, rest, more = strings.Cut(rest, ".")
+		buf = append(buf, byte(len(label)))
+		buf = append(buf, label...)
 	}
 	return append(buf, 0), nil
 }

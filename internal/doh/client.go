@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"sync"
 	"time"
 
 	"dohpool/internal/dnswire"
@@ -82,6 +84,9 @@ type Client struct {
 	method  Method
 	timeout time.Duration
 	pad     bool
+	// endpoints caches every endpoint URL this client has been asked to
+	// query in parsed form (string → *url.URL).
+	endpoints sync.Map
 }
 
 // NewClient builds a DoH client.
@@ -106,6 +111,71 @@ func NewClient(opts ...ClientOption) *Client {
 		c.http = &http.Client{Transport: tr}
 	}
 	return c
+}
+
+// endpoint returns rawURL parsed, parsing each distinct endpoint once: a
+// client talks to the handful of resolvers it was configured with, and
+// url.Parse was a measurable share of every exchange.
+func (c *Client) endpoint(rawURL string) (*url.URL, error) {
+	if u, ok := c.endpoints.Load(rawURL); ok {
+		return u.(*url.URL), nil
+	}
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return nil, err
+	}
+	c.endpoints.Store(rawURL, u)
+	return u, nil
+}
+
+// mediaTypeValue is the one header value every request carries, shared
+// between requests: net/http reads header values and never edits them.
+var mediaTypeValue = []string{MediaType}
+
+// newRequest assembles the RFC 8484 request for an encoded query: what
+// http.NewRequestWithContext would build, minus the URL parse and the
+// per-request header values.
+func (c *Client) newRequest(ctx context.Context, rawURL string, wire []byte) (*http.Request, error) {
+	u, err := c.endpoint(rawURL)
+	if err != nil {
+		return nil, err
+	}
+	req := &http.Request{
+		Method: http.MethodPost,
+		URL:    u,
+		Header: http.Header{"Accept": mediaTypeValue},
+	}
+	if c.method == MethodGET {
+		get := *u
+		get.RawQuery = "dns=" + base64.RawURLEncoding.EncodeToString(wire)
+		req.Method, req.URL = http.MethodGet, &get
+	} else {
+		req.Header["Content-Type"] = mediaTypeValue
+		req.ContentLength = int64(len(wire))
+		// GetBody lets the HTTP/2 transport replay the request on a fresh
+		// connection after a GOAWAY, as it can for http.NewRequest's.
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(wire)), nil }
+		req.Body, _ = req.GetBody()
+	}
+	return req.WithContext(ctx), nil
+}
+
+// readMessage reads one DNS message body of the announced length in a
+// single buffer of exactly that size; with none announced (-1, or the 0 of
+// a hand-built http.Response) it falls back to a growing read. tooLarge
+// reports a body beyond the 64 KiB a DNS message can span, announced or
+// actual.
+func readMessage(body io.Reader, contentLength int64) (msg []byte, tooLarge bool, err error) {
+	if contentLength > dnswire.MaxMessageSize {
+		return nil, true, nil
+	}
+	if contentLength > 0 {
+		msg = make([]byte, contentLength)
+		_, err = io.ReadFull(body, msg)
+		return msg, false, err
+	}
+	msg, err = io.ReadAll(io.LimitReader(body, dnswire.MaxMessageSize+1))
+	return msg, len(msg) > dnswire.MaxMessageSize, err
 }
 
 // Exchange sends query to the DoH endpoint at url and returns the decoded,
@@ -138,22 +208,10 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, url strin
 	if err != nil {
 		return nil, fmt.Errorf("encode query: %w", err)
 	}
-
-	var req *http.Request
-	switch c.method {
-	case MethodGET:
-		u := url + "?dns=" + base64.RawURLEncoding.EncodeToString(wire)
-		req, err = http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	default:
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(wire))
-		if err == nil {
-			req.Header.Set("Content-Type", MediaType)
-		}
-	}
+	req, err := c.newRequest(ctx, url, wire)
 	if err != nil {
 		return nil, fmt.Errorf("build request: %w", err)
 	}
-	req.Header.Set("Accept", MediaType)
 
 	httpResp, err := c.http.Do(req)
 	if err != nil {
@@ -166,11 +224,11 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, url strin
 	if ct := httpResp.Header.Get("Content-Type"); !isDNSMediaType(ct) {
 		return nil, fmt.Errorf("%s: content-type %q: %w", url, ct, ErrBadContentType)
 	}
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, dnswire.MaxMessageSize+1))
+	body, tooLarge, err := readMessage(httpResp.Body, httpResp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("read doh response: %w", err)
 	}
-	if len(body) > dnswire.MaxMessageSize {
+	if tooLarge {
 		return nil, transport.ErrResponseTooLarge
 	}
 	resp, err := dnswire.Decode(body)

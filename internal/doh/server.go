@@ -38,6 +38,9 @@ const maxRequestBytes = dnswire.MaxMessageSize
 // so byte equality against MediaType is the wrong test on either side
 // of the exchange.
 func isDNSMediaType(value string) bool {
+	if value == MediaType {
+		return true // what every DoH peer actually sends; skip the parser
+	}
 	mt, _, err := mime.ParseMediaType(value)
 	return err == nil && mt == MediaType
 }
@@ -72,7 +75,7 @@ type Handler struct {
 	// means Wire wrote the complete HTTP response (headers and body);
 	// returning false falls through to the regular decode → respond →
 	// encode path. The frontend installs its wire-cache fast path here.
-	Wire func(w http.ResponseWriter, query []byte) bool
+	Wire func(ctx context.Context, w http.ResponseWriter, query []byte) bool
 
 	requests atomic.Uint64
 	failures atomic.Uint64
@@ -98,7 +101,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	if h.Wire != nil && h.Wire(w, wire) {
+	if h.Wire != nil && h.Wire(r.Context(), w, wire) {
 		return
 	}
 	query, err := dnswire.Decode(wire)
@@ -130,10 +133,19 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "response encoding failed", http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", MediaType)
-	w.Header().Set("Cache-Control", "max-age="+strconv.FormatUint(uint64(resp.MinAnswerTTL(0)), 10))
-	w.Header().Set("Content-Length", strconv.Itoa(len(respWire)))
-	_, _ = w.Write(respWire)
+	_ = WriteResponse(w, respWire, resp.MinAnswerTTL(0))
+}
+
+// WriteResponse writes one encoded DNS message as an RFC 8484 response
+// body; maxAge, the smallest answer TTL, becomes its HTTP freshness
+// lifetime (§5.1).
+func WriteResponse(w http.ResponseWriter, body []byte, maxAge uint32) error {
+	h := w.Header()
+	h.Set("Content-Type", MediaType)
+	h.Set("Cache-Control", "max-age="+strconv.FormatUint(uint64(maxAge), 10))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	_, err := w.Write(body)
+	return err
 }
 
 // queryPadded reports whether the client used the EDNS Padding option.
@@ -175,11 +187,11 @@ func extractQuery(r *http.Request) ([]byte, int, error) {
 		if ct := r.Header.Get("Content-Type"); !isDNSMediaType(ct) {
 			return nil, http.StatusUnsupportedMediaType, fmt.Errorf("content-type %q", ct)
 		}
-		wire, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+		wire, tooLarge, err := readMessage(r.Body, r.ContentLength)
 		if err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("read body: %w", err)
 		}
-		if len(wire) > maxRequestBytes {
+		if tooLarge {
 			return nil, http.StatusRequestEntityTooLarge, errors.New("request too large")
 		}
 		return wire, 0, nil
